@@ -28,7 +28,24 @@ func New(n int) *Set {
 	if n < 0 {
 		panic(fmt.Sprintf("bitset: negative universe size %d", n))
 	}
-	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+	return &Set{words: make([]uint64, Words(n)), n: n}
+}
+
+// Words returns how many uint64 words back a set over n elements.
+func Words(n int) int { return (n + wordBits - 1) / wordBits }
+
+// View returns a set over {0, ..., n-1} stored in words, which must be
+// exactly Words(n) long with no bit set at or beyond n. The set aliases
+// words rather than copying them, so a caller can keep many sets of one
+// universe back to back in a flat arena and run this package's kernels
+// on any of them without allocating a Set per element.
+//
+//vet:allocfree
+func View(words []uint64, n int) Set {
+	if n < 0 || len(words) != Words(n) {
+		panic(fmt.Sprintf("bitset: %d words cannot back a universe of %d", len(words), n))
+	}
+	return Set{words: words, n: n}
 }
 
 // FromIndices returns a set over {0,...,n-1} containing the given elements.

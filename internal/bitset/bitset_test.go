@@ -359,3 +359,26 @@ func BenchmarkIntersectionCount(b *testing.B) {
 		x.IntersectionCount(y)
 	}
 }
+
+func TestViewAliasesWords(t *testing.T) {
+	arena := make([]uint64, 3*Words(70))
+	w := Words(70)
+	a := View(arena[:w], 70)
+	b := View(arena[w:2*w], 70)
+	a.Add(3)
+	a.Add(69)
+	b.Add(64)
+	b.UnionWith(&a)
+	if !b.Equal(FromIndices(70, 3, 64, 69)) {
+		t.Fatalf("b = %v", &b)
+	}
+	if arena[w] != 1<<3 || arena[w+1] != 1<<5|1 {
+		t.Fatalf("view did not write through to its words: %x", arena)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("View over the wrong word count must panic")
+		}
+	}()
+	View(arena, 70)
+}

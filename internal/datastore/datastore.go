@@ -71,21 +71,30 @@ type Config struct {
 
 // Store is a collection of named, versioned datasets. All methods are
 // safe for concurrent use; mutations of one dataset serialize on a
-// per-dataset lock so appends to different datasets proceed in
-// parallel.
+// per-dataset writer lock so appends to different datasets proceed in
+// parallel, and reads never wait for a mutation's fit or persist.
 type Store struct {
 	dir  string
 	keep int
 
 	mu   sync.RWMutex // guards sets map shape
 	sets map[string]*set
+
+	// midAppend, when set by a test, runs inside Append after the
+	// writer lock is taken and before the new version is installed.
+	midAppend func()
 }
 
-// set is one named dataset's retained versions.
+// set is one named dataset's retained versions. A mutation holds
+// writeMu from start to finish and mu only to read the latest version
+// and to install the new one, so Get and GetVersion never wait for a
+// fit or a persist.
 type set struct {
-	mu       sync.Mutex // serializes mutations and guards fields below
-	name     string
-	latest   int
+	writeMu sync.Mutex // serializes mutations
+	name    string
+
+	mu       sync.Mutex // guards the fields below
+	latest   int        // 0 while version 1 is still being created
 	versions map[int]*Snapshot
 }
 
@@ -165,10 +174,10 @@ func (s *Store) Create(name string, classes, genes []string, values [][]float64,
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	st := &set{name: name, versions: map[int]*Snapshot{}}
-	st.mu.Lock() // build v1 before anyone can observe the set
+	st.writeMu.Lock() // readers see ErrNotFound until v1 is installed
 	s.sets[name] = st
 	s.mu.Unlock()
-	defer st.mu.Unlock()
+	defer st.writeMu.Unlock()
 
 	snap, err := buildFull(name, 1, m)
 	if err != nil {
@@ -179,8 +188,10 @@ func (s *Store) Create(name string, classes, genes []string, values [][]float64,
 		s.dropSet(name)
 		return nil, err
 	}
+	st.mu.Lock()
 	st.latest = 1
 	st.versions[1] = snap
+	st.mu.Unlock()
 	return snap, nil
 }
 
@@ -202,9 +213,12 @@ func (s *Store) Append(name string, values [][]float64, labels []dataset.Label) 
 	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	old := st.versions[st.latest]
+	st.writeMu.Lock()
+	defer st.writeMu.Unlock()
+	old, err := st.current()
+	if err != nil {
+		return nil, err
+	}
 
 	m := &dataset.Matrix{
 		GeneNames:  old.Matrix.GeneNames,
@@ -222,32 +236,54 @@ func (s *Store) Append(name string, values [][]float64, labels []dataset.Label) 
 	if err != nil {
 		return nil, err
 	}
+	if s.midAppend != nil {
+		s.midAppend()
+	}
 	if err := s.persist(snap); err != nil {
 		return nil, err
 	}
+	old.cols = nil // reuse substrate lives on the latest version only
+	st.mu.Lock()
 	st.latest = snap.Version
 	st.versions[snap.Version] = snap
-	old.cols = nil // reuse substrate lives on the latest version only
-	s.prune(st)
+	pruned := s.prune(st)
+	st.mu.Unlock()
+	for _, v := range pruned {
+		s.removeSnapshotFile(st.name, v)
+	}
 	return snap, nil
 }
 
-// prune enforces KeepVersions on one locked set: oldest versions past
-// the cap are dropped from memory and their files removed. Removal
-// failures are ignored — a leftover file is re-pruned on next recover.
-func (s *Store) prune(st *set) {
+// current returns the set's latest snapshot, or ErrNotFound while
+// version 1 is still being created (or its creation failed).
+func (st *set) current() (*Snapshot, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.latest == 0 {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, st.name)
+	}
+	return st.versions[st.latest], nil
+}
+
+// prune enforces KeepVersions on one set whose mu the caller holds:
+// the oldest versions past the cap are dropped from memory and
+// returned, so their files can be removed once mu is released.
+// Removal failures are ignored — a leftover file is re-pruned on next
+// recover.
+func (s *Store) prune(st *set) []int {
 	if s.keep <= 0 || len(st.versions) <= s.keep {
-		return
+		return nil
 	}
 	vs := make([]int, 0, len(st.versions))
 	for v := range st.versions {
 		vs = append(vs, v)
 	}
 	sort.Ints(vs)
-	for _, v := range vs[:len(vs)-s.keep] {
+	vs = vs[:len(vs)-s.keep]
+	for _, v := range vs {
 		delete(st.versions, v)
-		s.removeSnapshotFile(st.name, v)
 	}
+	return vs
 }
 
 // lookup finds a set by name.
@@ -267,9 +303,7 @@ func (s *Store) Get(name string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.versions[st.latest], nil
+	return st.current()
 }
 
 // GetVersion returns one pinned snapshot. A version the dataset never
@@ -281,6 +315,9 @@ func (s *Store) GetVersion(name string, version int) (*Snapshot, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.latest == 0 {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
 	snap, ok := st.versions[version]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s version %d (latest %d)", ErrVersionGone, name, version, st.latest)

@@ -2,12 +2,14 @@ package datastore
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/discretize"
@@ -426,5 +428,57 @@ func TestParseRef(t *testing.T) {
 		if !c.ok && err == nil {
 			t.Errorf("ParseRef(%q) accepted, want error", c.ref)
 		}
+	}
+}
+
+// TestReadsDoNotWaitForAppend holds an Append between its build and its
+// install, and requires Get, GetVersion and Versions to answer from the
+// previous version meanwhile.
+func TestReadsDoNotWaitForAppend(t *testing.T) {
+	s := openStore(t, t.TempDir(), 0)
+	m := sepMatrix(t)
+	if _, err := s.Create("d", m.ClassNames, m.GeneNames, m.Values, m.Labels); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.midAppend = func() {
+		close(entered)
+		<-release
+	}
+	appended := make(chan error, 1)
+	go func() {
+		_, err := s.Append("d", [][]float64{{2, 8}}, []dataset.Label{0})
+		appended <- err
+	}()
+	<-entered
+
+	reads := make(chan error, 1)
+	go func() {
+		snap, err := s.Get("d")
+		if err == nil && snap.Version != 1 {
+			err = fmt.Errorf("Get mid-append returned v%d, want v1", snap.Version)
+		}
+		if err == nil {
+			_, err = s.GetVersion("d", 1)
+		}
+		if err == nil {
+			_, err = s.Versions("d")
+		}
+		reads <- err
+	}()
+	select {
+	case err := <-reads:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("reads blocked behind an append that is still building")
+	}
+	close(release)
+	if err := <-appended; err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if snap, err := s.Get("d"); err != nil || snap.Version != 2 {
+		t.Fatalf("after append: %v, %v", snap, err)
 	}
 }

@@ -9,7 +9,10 @@ package discretize
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -34,13 +37,17 @@ func Fit(m *Matrix) (*Discretizer, error) { return FitMatrix(m) }
 // Matrix is an alias re-exported for readability of the Fit signature.
 type Matrix = dataset.Matrix
 
-// FitMatrix learns MDL-accepted cut points for every gene of m.
+// FitMatrix learns MDL-accepted cut points for every gene of m. Genes
+// are independent, so they are fitted on GOMAXPROCS workers over
+// contiguous gene ranges, each with its own reused scratch; every gene's
+// cuts are a pure function of its column, whatever the worker count.
 func FitMatrix(m *dataset.Matrix) (*Discretizer, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	genes := m.NumGenes()
 	dz := &Discretizer{
-		Cuts:       make([][]float64, m.NumGenes()),
+		Cuts:       make([][]float64, genes),
 		GeneNames:  append([]string(nil), m.GeneNames...),
 		ClassNames: append([]string(nil), m.ClassNames...),
 	}
@@ -49,86 +56,144 @@ func FitMatrix(m *dataset.Matrix) (*Discretizer, error) {
 		labels[r] = int(l)
 	}
 	k := len(m.ClassNames)
-	vs := make([]stats.LabeledValue, m.NumRows())
-	for g := 0; g < m.NumGenes(); g++ {
-		for r := range m.Values {
-			vs[r] = stats.LabeledValue{Value: m.Values[r][g], Label: labels[r]}
+	sp := stats.NewSplitter(k, m.NumRows())
+	workers := min(runtime.GOMAXPROCS(0), genes)
+	if workers <= 1 {
+		newFitScratch(sp, labels, k).fitGenes(m, dz.Cuts, 0, genes)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			fs := newFitScratch(sp.Fork(), labels, k)
+			lo, hi := w*genes/workers, (w+1)*genes/workers
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fs.fitGenes(m, dz.Cuts, lo, hi)
+			}()
 		}
-		stats.SortLabeledValues(vs)
-		var cuts []float64
-		mdlPartition(vs, k, &cuts)
-		sort.Float64s(cuts)
-		dz.Cuts[g] = cuts
+		wg.Wait()
 	}
 	dz.buildItems()
 	return dz, nil
 }
 
+// fitScratch is one fit worker's reused memory: the splitter, the
+// sorted column, class-count arrays for the MDL test and the current
+// gene's cuts.
+type fitScratch struct {
+	sp                 *stats.Splitter
+	labels             []int
+	vs                 []stats.LabeledValue
+	total, left, right []int
+	cuts               []float64
+}
+
+func newFitScratch(sp *stats.Splitter, labels []int, numClasses int) *fitScratch {
+	return &fitScratch{
+		sp:     sp,
+		labels: labels,
+		vs:     make([]stats.LabeledValue, len(labels)),
+		total:  make([]int, numClasses),
+		left:   make([]int, numClasses),
+		right:  make([]int, numClasses),
+	}
+}
+
+// fitGenes stores the cuts of genes [lo, hi) into cuts. Each gene with
+// at least one cut costs exactly one allocation, its cuts slice.
+func (fs *fitScratch) fitGenes(m *dataset.Matrix, cuts [][]float64, lo, hi int) {
+	for g := lo; g < hi; g++ {
+		for r, row := range m.Values {
+			fs.vs[r] = stats.LabeledValue{Value: row[g], Label: fs.labels[r]}
+		}
+		stats.SortLabeledValues(fs.vs)
+		fs.cuts = fs.cuts[:0]
+		fs.mdlPartition(fs.vs)
+		if len(fs.cuts) > 0 {
+			slices.Sort(fs.cuts)
+			cuts[g] = slices.Clone(fs.cuts)
+		}
+	}
+}
+
 // mdlPartition recursively splits the sorted labeled values, appending
-// accepted cut points.
-func mdlPartition(vs []stats.LabeledValue, numClasses int, cuts *[]float64) {
-	cut, gain, ok := stats.BestBinarySplit(vs, numClasses)
+// accepted cut points to fs.cuts.
+//
+//vet:allocfree
+func (fs *fitScratch) mdlPartition(vs []stats.LabeledValue) {
+	cut, gain, ok := fs.sp.BestSplit(vs)
 	if !ok {
 		return
 	}
 	// Locate the boundary index: first element with value > cut.
 	b := sort.Search(len(vs), func(i int) bool { return vs[i].Value > cut })
-	left, right := vs[:b], vs[b:]
-	if !mdlAccepts(vs, left, right, gain) {
+	if !fs.mdlAccepts(vs, b, gain) {
 		return
 	}
-	*cuts = append(*cuts, cut)
-	mdlPartition(left, numClasses, cuts)
-	mdlPartition(right, numClasses, cuts)
+	fs.cuts = append(fs.cuts, cut)
+	fs.mdlPartition(vs[:b])
+	fs.mdlPartition(vs[b:])
 }
 
-// mdlAccepts applies the Fayyad–Irani MDLPC criterion:
+// mdlAccepts applies the Fayyad–Irani MDLPC criterion to splitting s
+// into s1 = s[:b] and s2 = s[b:]:
 //
 //	Gain(S;T) > log2(N-1)/N + Δ(S;T)/N
 //	Δ(S;T) = log2(3^k - 2) - [k·H(S) - k1·H(S1) - k2·H(S2)]
 //
 // where k, k1, k2 are the numbers of distinct classes present in S, S1,
-// S2.
-func mdlAccepts(s, s1, s2 []stats.LabeledValue, gain float64) bool {
+// S2. Entropies sum their class terms in class order.
+//
+//vet:allocfree
+func (fs *fitScratch) mdlAccepts(s []stats.LabeledValue, b int, gain float64) bool {
 	n := float64(len(s))
 	if n < 2 {
 		return false
 	}
-	k := float64(distinctClasses(s))
-	k1 := float64(distinctClasses(s1))
-	k2 := float64(distinctClasses(s2))
-	h := entropyOf(s)
-	h1 := entropyOf(s1)
-	h2 := entropyOf(s2)
+	total, left, right := fs.total, fs.left, fs.right
+	clear(total)
+	clear(left)
+	for i, v := range s {
+		total[v.Label]++
+		if i < b {
+			left[v.Label]++
+		}
+	}
+	for c := range right {
+		right[c] = total[c] - left[c]
+	}
+	k := float64(distinctClasses(total))
+	k1 := float64(distinctClasses(left))
+	k2 := float64(distinctClasses(right))
+	h := fs.sp.Entropy(total)
+	h1 := fs.sp.Entropy(left)
+	h2 := fs.sp.Entropy(right)
 	delta := math.Log2(math.Pow(3, k)-2) - (k*h - k1*h1 - k2*h2)
 	threshold := (math.Log2(n-1) + delta) / n
 	return gain > threshold
 }
 
-func distinctClasses(vs []stats.LabeledValue) int {
-	seen := map[int]bool{}
-	for _, v := range vs {
-		seen[v.Label] = true
-	}
-	return len(seen)
-}
-
-func entropyOf(vs []stats.LabeledValue) float64 {
-	counts := map[int]int{}
-	for _, v := range vs {
-		counts[v.Label]++
-	}
-	flat := make([]int, 0, len(counts))
+// distinctClasses counts the classes present in a class-count array.
+func distinctClasses(counts []int) int {
+	n := 0
 	for _, c := range counts {
-		flat = append(flat, c)
+		if c > 0 {
+			n++
+		}
 	}
-	return stats.Entropy(flat)
+	return n
 }
 
 // buildItems enumerates the item table: one item per interval of each
 // retained gene, in gene order.
 func (dz *Discretizer) buildItems() {
-	dz.items = nil
+	n := 0
+	for _, cuts := range dz.Cuts {
+		if len(cuts) > 0 {
+			n += len(cuts) + 1
+		}
+	}
+	dz.items = make([]dataset.Item, 0, n)
 	dz.itemStart = make([]int, len(dz.Cuts))
 	for g, cuts := range dz.Cuts {
 		if len(cuts) == 0 {
@@ -136,15 +201,19 @@ func (dz *Discretizer) buildItems() {
 			continue
 		}
 		dz.itemStart[g] = len(dz.items)
-		bounds := append([]float64{math.Inf(-1)}, cuts...)
-		bounds = append(bounds, math.Inf(1))
-		for i := 0; i+1 < len(bounds); i++ {
+		lo := math.Inf(-1)
+		for i := 0; i <= len(cuts); i++ {
+			hi := math.Inf(1)
+			if i < len(cuts) {
+				hi = cuts[i]
+			}
 			dz.items = append(dz.items, dataset.Item{
 				Gene:     g,
 				GeneName: dz.GeneNames[g],
-				Lo:       bounds[i],
-				Hi:       bounds[i+1],
+				Lo:       lo,
+				Hi:       hi,
 			})
+			lo = hi
 		}
 	}
 }

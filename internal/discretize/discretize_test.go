@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -336,4 +337,71 @@ func TestRowItems(t *testing.T) {
 	}
 	long := append(append([]float64{}, m.Values[0]...), 1, 2, 3)
 	_ = dz.RowItems(long)
+}
+
+// shiftedMatrix draws n rows of g genes whose values shift with the
+// row's class among k, so most genes carry MDL-accepted cuts.
+func shiftedMatrix(seed int64, n, g, k int) *dataset.Matrix {
+	r := rand.New(rand.NewSource(seed))
+	m := &dataset.Matrix{GeneNames: make([]string, g), Values: make([][]float64, n), Labels: make([]dataset.Label, n)}
+	for c := 0; c < k; c++ {
+		m.ClassNames = append(m.ClassNames, string(rune('a'+c)))
+	}
+	for j := range m.GeneNames {
+		m.GeneNames[j] = "g"
+	}
+	for i := 0; i < n; i++ {
+		m.Labels[i] = dataset.Label(i % k)
+		row := make([]float64, g)
+		for j := range row {
+			row[j] = float64(int(m.Labels[i])*(j%3)) + r.NormFloat64()
+		}
+		m.Values[i] = row
+	}
+	return m
+}
+
+func TestThreeClassFitDeterministic(t *testing.T) {
+	// MDL entropies over three or more classes must sum their terms in
+	// a fixed order: a map-ordered sum may differ in the last bit between
+	// runs and flip a gain-versus-threshold decision.
+	m := shiftedMatrix(7, 90, 60, 3)
+	first, err := FitMatrix(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.NumSelectedGenes() == 0 {
+		t.Fatal("no gene selected; the test needs cuts to compare")
+	}
+	for i := 0; i < 50; i++ {
+		dz, err := FitMatrix(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if changed := DiffCuts(first.Cuts, dz.Cuts); len(changed) > 0 {
+			t.Fatalf("fit %d: cuts of genes %v differ from the first fit", i, changed)
+		}
+	}
+}
+
+func TestFitAllocsFlatInBoundaries(t *testing.T) {
+	// A fit allocates a constant amount plus one cuts slice per selected
+	// gene, however many rows (and so boundaries) each column has.
+	workers := runtime.GOMAXPROCS(0)
+	for _, n := range []int{40, 400} {
+		m := shiftedMatrix(3, n, 30, 2)
+		dz, err := FitMatrix(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := float64(dz.NumSelectedGenes() + 16 + 8*workers)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := FitMatrix(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("%d rows, %d selected genes: %.0f allocs per fit, want <= %.0f", n, dz.NumSelectedGenes(), allocs, bound)
+		}
+	}
 }

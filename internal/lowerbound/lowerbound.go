@@ -13,15 +13,15 @@
 package lowerbound
 
 import (
-	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/rules"
+	"repro/internal/stats"
 )
 
 // Config controls the search.
@@ -44,6 +44,56 @@ type Config struct {
 // Find returns up to cfg.NL shortest lower-bound rules of group g over
 // dataset d, most discriminant item combinations first.
 func Find(d *dataset.Dataset, g *rules.Group, cfg Config) []*rules.Rule {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.find(d, g, cfg)
+}
+
+// scratchPool keeps warmed scratches between Find and FindAll calls: an
+// RCBT train runs FindAll once per rank, and the BFS levels of a wide
+// group reach megabytes that would otherwise be regrown every time.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// scratch is one FindLB worker's memory, reused across Find calls: every
+// buffer keeps its capacity, so a warmed scratch searches without
+// allocating and only the emitted rules are fresh. Sets live in flat
+// word arenas (bitset.View), w = bitset.Words(rows) words per set. find
+// rewrites every buffer it reads, so no state carries between calls.
+type scratch struct {
+	ranked    []int        // the upper bound's items, by descending score
+	classOf   []int32      // per ranked item: its kill class, or -1
+	killWords []uint64     // class-major kill sets, w words each
+	kills     []bitset.Set // views over killWords
+	hashes    []uint64     // per class: Hash64 of its kill set
+	slots     []int32      // open-addressing table: class+1 by hash, 0 = empty
+	itemStart []int32      // class c's items are items[itemStart[c]:itemStart[c+1]]
+	items     []int        // class members in rank order
+	cursor    []int32      // next free slot per class while filling items
+	outside   []uint64     // rows outside the group's support set
+	minCover  []uint64     // isMinimal's reused cover
+	cur, next level        // double-buffered BFS levels
+	choice    []int        // emit's substitution odometer
+	ants      []int        // emitted antecedents, back to back
+	antEnd    []int        // end offset of each emitted antecedent in ants
+}
+
+// level holds one BFS level's candidates, all of the same size: their
+// class indices and kill-set unions, candidate-major.
+type level struct {
+	idx   []int32  // size indices per candidate
+	cover []uint64 // w words per candidate
+}
+
+// resize returns b with length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+func (s *scratch) find(d *dataset.Dataset, g *rules.Group, cfg Config) []*rules.Rule {
 	if cfg.NL <= 0 {
 		return nil
 	}
@@ -51,167 +101,259 @@ func Find(d *dataset.Dataset, g *rules.Group, cfg Config) []*rules.Rule {
 	if budget <= 0 {
 		budget = 1 << 20
 	}
+	s.ants, s.antEnd = s.ants[:0], s.antEnd[:0]
 
 	// Outside rows: rows not in the group's support set.
-	outside := g.Rows.Clone()
-	flip := bitset.New(d.NumRows())
-	flip.Fill()
-	outside = flip.Difference(outside)
-
-	mkRule := func(ant []int) *rules.Rule {
-		sorted := append([]int(nil), ant...)
-		sort.Ints(sorted)
-		return &rules.Rule{
-			Antecedent: sorted,
-			Class:      g.Class,
-			Support:    g.Support,
-			Confidence: g.Confidence,
-		}
-	}
+	n := d.NumRows()
+	w := bitset.Words(n)
+	s.outside = resize(s.outside, w)
+	outside := bitset.View(s.outside, n)
+	outside.Fill()
+	outside.DifferenceWith(g.Rows)
 
 	// Degenerate group covering every row: the empty rule is its only
 	// lower bound.
 	if outside.IsEmpty() {
-		return []*rules.Rule{mkRule(nil)}
+		s.antEnd = append(s.antEnd, 0)
+		return s.rules(g)
 	}
 
 	// Step 1: rank the upper bound's items by descending score.
-	ranked := append([]int(nil), g.Antecedent...)
 	score := cfg.ItemScore
 	if score == nil {
 		score = DefaultItemScores(d)
 	}
-	sort.SliceStable(ranked, func(a, b int) bool { return score[ranked[a]] > score[ranked[b]] })
+	s.ranked = append(s.ranked[:0], g.Antecedent...)
+	slices.SortStableFunc(s.ranked, func(a, b int) int {
+		switch {
+		case score[a] > score[b]:
+			return -1
+		case score[a] < score[b]:
+			return 1
+		}
+		return 0
+	})
 
-	// Group items by identical kill sets. Correlated gene intervals
-	// share kill sets, and any two same-kill items are interchangeable
-	// in every cover, so the search runs over one representative per
-	// class and substitutions are expanded afterwards. This is what
-	// keeps FindLB tractable on block-correlated expression data.
-	type itemClass struct {
-		items []int // rank order within the class
-		kill  *bitset.Set
-	}
-	var classes []itemClass
-	classOf := map[string]int{}
-	for _, it := range ranked {
-		k := outside.Difference(d.ItemRows(it))
-		if k.IsEmpty() {
-			continue // kills nothing: never part of a minimal cover
-		}
-		key := k.Key()
-		ci, ok := classOf[key]
-		if !ok {
-			ci = len(classes)
-			classOf[key] = ci
-			classes = append(classes, itemClass{kill: k})
-		}
-		classes[ci].items = append(classes[ci].items, it)
-	}
-	kills := make([]*bitset.Set, len(classes))
-	for j := range classes {
-		kills[j] = classes[j].kill
-	}
-
-	// emit expands a minimal representative cover into concrete lower
-	// bounds by substituting class members in rank order, until nl rules
-	// are produced. It reports whether the nl quota is filled.
-	var found []*rules.Rule
-	emit := func(idx []int) bool {
-		choice := make([]int, len(idx))
-		var rec func(pos int) bool
-		rec = func(pos int) bool {
-			if pos == len(idx) {
-				ant := make([]int, len(idx))
-				for i, j := range idx {
-					ant[i] = classes[j].items[choice[i]]
-				}
-				found = append(found, mkRule(ant))
-				return len(found) >= cfg.NL
-			}
-			for c := range classes[idx[pos]].items {
-				choice[pos] = c
-				if rec(pos + 1) {
-					return true
-				}
-			}
-			return false
-		}
-		return rec(0)
+	nc := s.groupKills(d, n, w)
+	s.minCover = resize(s.minCover, w)
+	s.choice = resize(s.choice, nc) // a minimal cover holds each class at most once
+	s.kills = s.kills[:0]
+	for c := 0; c < nc; c++ {
+		s.kills = append(s.kills, bitset.View(s.killWords[c*w:(c+1)*w], n))
 	}
 
 	// Step 2: BFS over ranked class combinations by increasing size. A
 	// candidate is a lower bound iff its kill union covers all outside
 	// rows and removing any single class breaks coverage (minimality).
-	type cand struct {
-		idx   []int       // indices into classes
-		cover *bitset.Set // union of kills
+	s.cur.idx = s.cur.idx[:0]
+	for c := 0; c < nc; c++ {
+		s.cur.idx = append(s.cur.idx, int32(c))
 	}
-	level := make([]cand, 0, len(classes))
-	for j := range classes {
-		level = append(level, cand{idx: []int{j}, cover: kills[j]})
-	}
-
+	s.cur.cover = append(s.cur.cover[:0], s.killWords[:nc*w]...)
 	examined := 0
-	size := 1
-	for len(level) > 0 && len(found) < cfg.NL {
+	for size := 1; len(s.cur.idx) > 0 && len(s.antEnd) < cfg.NL; size++ {
 		if cfg.MaxLen > 0 && size > cfg.MaxLen {
 			break
 		}
-		var next []cand
-		for _, c := range level {
+		s.next.idx, s.next.cover = s.next.idx[:0], s.next.cover[:0]
+		for c := 0; c < len(s.cur.idx)/size; c++ {
 			examined++
 			if examined > budget {
-				return found
+				return s.rules(g)
 			}
-			if c.cover.ContainsAll(outside) {
-				if isMinimal(c.idx, kills, outside) {
-					if emit(c.idx) {
-						return found
-					}
-				}
-				continue // supersets of a cover are never minimal
-			}
-			last := c.idx[len(c.idx)-1]
-			for j := last + 1; j < len(classes); j++ {
-				// If kills[j] ⊆ cover(c), class j stays redundant in every
-				// extension of c — no minimal cover there. If kills[j] ⊇
-				// cover(c), every class of c becomes redundant once j is
-				// added; the minimal covers through j are reached from
-				// shorter prefixes containing j instead. Both prune.
-				if c.cover.ContainsAll(kills[j]) || kills[j].ContainsAll(c.cover) {
-					continue
-				}
-				next = append(next, cand{
-					idx:   append(append([]int(nil), c.idx...), j),
-					cover: c.cover.Union(kills[j]),
-				})
+			if s.visit(s.cur.idx[c*size:(c+1)*size], s.cur.cover[c*w:(c+1)*w], &outside, cfg.NL) {
+				return s.rules(g)
 			}
 		}
-		level = next
-		size++
+		s.cur, s.next = s.next, s.cur
 	}
-	return found
+	return s.rules(g)
 }
 
-// isMinimal reports whether removing any single item breaks coverage.
-func isMinimal(idx []int, kills []*bitset.Set, outside *bitset.Set) bool {
+// groupKills fills the kill classes of the ranked items and returns
+// their count. An item's kill set is the outside rows it misses.
+// Correlated gene intervals share kill sets, and any two same-kill
+// items are interchangeable in every cover, so the search runs over one
+// representative per class and substitutions are expanded afterwards.
+// This is what keeps FindLB tractable on block-correlated expression
+// data. Classes are numbered in order of their best-ranked member, and
+// each class lists its members in rank order.
+func (s *scratch) groupKills(d *dataset.Dataset, n, w int) int {
+	mask := 8
+	for mask < 2*len(s.ranked) {
+		mask <<= 1
+	}
+	s.slots = resize(s.slots, mask)
+	clear(s.slots)
+	mask--
+	s.classOf = s.classOf[:0]
+	s.hashes = s.hashes[:0]
+	s.killWords = s.killWords[:0]
+	nc := 0
+	for _, it := range s.ranked {
+		// Build the kill set in the next class's slot; keep the slot
+		// only if the set is new.
+		s.killWords = append(s.killWords, s.outside...)
+		k := bitset.View(s.killWords[nc*w:], n)
+		k.DifferenceWith(d.ItemRows(it))
+		if k.IsEmpty() {
+			s.killWords = s.killWords[:nc*w]
+			s.classOf = append(s.classOf, -1) // kills nothing: never part of a minimal cover
+			continue
+		}
+		h := k.Hash64()
+		ci := int32(-1)
+		i := int(h) & mask
+		for ; s.slots[i] != 0; i = (i + 1) & mask {
+			c := s.slots[i] - 1
+			if s.hashes[c] == h {
+				other := bitset.View(s.killWords[int(c)*w:int(c+1)*w], n)
+				if other.Equal(&k) {
+					ci = c
+					break
+				}
+			}
+		}
+		if ci < 0 {
+			ci = int32(nc)
+			s.slots[i] = ci + 1
+			s.hashes = append(s.hashes, h)
+			nc++
+		} else {
+			s.killWords = s.killWords[:nc*w]
+		}
+		s.classOf = append(s.classOf, ci)
+	}
+
+	s.itemStart = resize(s.itemStart, nc+1)
+	clear(s.itemStart)
+	for _, c := range s.classOf {
+		if c >= 0 {
+			s.itemStart[c+1]++
+		}
+	}
+	for c := 0; c < nc; c++ {
+		s.itemStart[c+1] += s.itemStart[c]
+	}
+	s.items = resize(s.items, int(s.itemStart[nc]))
+	s.cursor = append(s.cursor[:0], s.itemStart[:nc]...)
+	for r, c := range s.classOf {
+		if c >= 0 {
+			s.items[s.cursor[c]] = s.ranked[r]
+			s.cursor[c]++
+		}
+	}
+	return nc
+}
+
+// visit examines one candidate — class indices idx, kill union in
+// coverWords — and appends its children to the next level. It reports
+// whether the nl quota is filled.
+//
+//vet:allocfree
+func (s *scratch) visit(idx []int32, coverWords []uint64, outside *bitset.Set, nl int) bool {
+	cover := bitset.View(coverWords, outside.Len())
+	if cover.ContainsAll(outside) {
+		if s.isMinimal(idx, outside) {
+			return s.emit(idx, nl)
+		}
+		return false // supersets of a cover are never minimal
+	}
+	next := &s.next
+	for j := int(idx[len(idx)-1]) + 1; j < len(s.kills); j++ {
+		// If kills[j] ⊆ cover, class j stays redundant in every extension
+		// of the candidate — no minimal cover there. If kills[j] ⊇ cover,
+		// every class of the candidate becomes redundant once j is added;
+		// the minimal covers through j are reached from shorter prefixes
+		// containing j instead. Both prune.
+		kj := &s.kills[j]
+		if cover.ContainsAll(kj) || kj.ContainsAll(&cover) {
+			continue
+		}
+		next.idx = append(next.idx, idx...)
+		next.idx = append(next.idx, int32(j))
+		next.cover = append(next.cover, coverWords...)
+		child := bitset.View(next.cover[len(next.cover)-len(coverWords):], outside.Len())
+		child.UnionWith(kj)
+	}
+	return false
+}
+
+// isMinimal reports whether removing any single class breaks coverage.
+//
+//vet:allocfree
+func (s *scratch) isMinimal(idx []int32, outside *bitset.Set) bool {
 	if len(idx) == 1 {
 		return true
 	}
+	cover := bitset.View(s.minCover, outside.Len())
 	for drop := range idx {
-		cover := bitset.New(outside.Len())
+		cover.Clear()
 		for i, j := range idx {
-			if i == drop {
-				continue
+			if i != drop {
+				cover.UnionWith(&s.kills[j])
 			}
-			cover.UnionWith(kills[j])
 		}
 		if cover.ContainsAll(outside) {
 			return false
 		}
 	}
 	return true
+}
+
+// emit expands a minimal representative cover into concrete lower
+// bounds by substituting class members in rank order (the last class
+// varies fastest), until nl rules are recorded. It reports whether the
+// nl quota is filled.
+//
+//vet:allocfree
+func (s *scratch) emit(idx []int32, nl int) bool {
+	choice := s.choice[:len(idx)]
+	clear(choice)
+	for {
+		start := len(s.ants)
+		for i, c := range idx {
+			s.ants = append(s.ants, s.items[int(s.itemStart[c])+choice[i]])
+		}
+		slices.Sort(s.ants[start:])
+		s.antEnd = append(s.antEnd, len(s.ants))
+		if len(s.antEnd) >= nl {
+			return true
+		}
+		pos := len(idx) - 1
+		for ; pos >= 0; pos-- {
+			c := idx[pos]
+			if choice[pos]++; choice[pos] < int(s.itemStart[c+1]-s.itemStart[c]) {
+				break
+			}
+			choice[pos] = 0
+		}
+		if pos < 0 {
+			return false
+		}
+	}
+}
+
+// rules materializes the recorded antecedents as g's lower-bound rules:
+// three allocations however many rules there are.
+func (s *scratch) rules(g *rules.Group) []*rules.Rule {
+	if len(s.antEnd) == 0 {
+		return nil
+	}
+	ants := slices.Clone(s.ants)
+	rs := make([]rules.Rule, len(s.antEnd))
+	out := make([]*rules.Rule, len(s.antEnd))
+	start := 0
+	for i, end := range s.antEnd {
+		var ant []int
+		if end > start {
+			ant = ants[start:end:end]
+		}
+		rs[i] = rules.Rule{Antecedent: ant, Class: g.Class, Support: g.Support, Confidence: g.Confidence}
+		out[i] = &rs[i]
+		start = end
+	}
+	return out
 }
 
 // DefaultItemScores computes per-item information gain of presence
@@ -222,51 +364,34 @@ func isMinimal(idx []int, kills []*bitset.Set, outside *bitset.Set) bool {
 func DefaultItemScores(d *dataset.Dataset) []float64 {
 	scores := make([]float64, d.NumItems())
 	n := d.NumRows()
-	classCounts := make([]int, d.NumClasses())
+	k := d.NumClasses()
+	classCount := make([]int, k)
 	for _, l := range d.Labels {
-		classCounts[int(l)]++
+		classCount[int(l)]++
 	}
-	baseH := entropy(classCounts)
+	baseH := stats.Entropy(classCount)
+	present := make([]int, k)
+	absent := make([]int, k)
 	for i := 0; i < d.NumItems(); i++ {
-		present := make([]int, d.NumClasses())
+		clear(present)
 		d.ItemRows(i).ForEach(func(r int) bool {
 			present[int(d.Labels[r])]++
 			return true
 		})
-		absent := make([]int, d.NumClasses())
 		pn := 0
 		for c := range present {
-			absent[c] = classCounts[c] - present[c]
+			absent[c] = classCount[c] - present[c]
 			pn += present[c]
 		}
 		if pn == 0 || pn == n {
 			scores[i] = 0
 			continue
 		}
-		h := float64(pn)/float64(n)*entropy(present) +
-			float64(n-pn)/float64(n)*entropy(absent)
+		h := float64(pn)/float64(n)*stats.Entropy(present) +
+			float64(n-pn)/float64(n)*stats.Entropy(absent)
 		scores[i] = baseH - h
 	}
 	return scores
-}
-
-func entropy(counts []int) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
-	}
-	return h
 }
 
 // FindAll runs Find for every group concurrently (bounded by
@@ -295,12 +420,14 @@ func FindAll(d *dataset.Dataset, groups []*rules.Group, cfg Config) [][]*rules.R
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := scratchPool.Get().(*scratch)
+			defer scratchPool.Put(s)
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= len(groups) {
 					return
 				}
-				out[i] = Find(d, groups[i], cfg)
+				out[i] = s.find(d, groups[i], cfg)
 			}
 		}()
 	}

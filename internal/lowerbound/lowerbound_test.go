@@ -352,3 +352,37 @@ func TestFindAllEmpty(t *testing.T) {
 		t.Fatal("no groups should give no results")
 	}
 }
+
+func TestWarmScratchAllocatesOnlyRules(t *testing.T) {
+	// A scratch reused across datasets and groups finds what a fresh one
+	// does, and once warmed allocates only what it returns: the shared
+	// antecedent backing, the rules and the pointer slice.
+	r := rand.New(rand.NewSource(17))
+	s := new(scratch)
+	checked := 0
+	for trial := 0; trial < 20; trial++ {
+		d := randomDataset(r)
+		cfg := Config{NL: 10, ItemScore: DefaultItemScores(d)}
+		for row := 0; row < d.NumRows(); row++ {
+			g := groupFor(d, d.Rows[row], 0)
+			found := s.find(d, g, cfg)
+			if fresh := new(scratch).find(d, g, cfg); !reflect.DeepEqual(found, fresh) {
+				t.Fatalf("trial %d row %d: reused scratch found %v, a fresh one %v", trial, row, found, fresh)
+			}
+			want := 0
+			if len(found) > 0 {
+				want = 2 // the rules and the pointer slice
+				if len(found[0].Antecedent) > 0 {
+					want++ // the antecedents' shared backing
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, func() { s.find(d, g, cfg) }); allocs != float64(want) {
+				t.Fatalf("trial %d row %d: %.0f allocs per warmed Find, want %d", trial, row, allocs, want)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no group checked")
+	}
+}

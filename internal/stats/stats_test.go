@@ -211,3 +211,81 @@ func TestSortLabeledValuesDeterministic(t *testing.T) {
 		t.Fatalf("sorted = %v, want %v", vs, want)
 	}
 }
+
+// referenceSplit is the split loop as first written, with a fresh count
+// vector per boundary and Entropy per block: the oracle the table-driven
+// Splitter must match bit for bit.
+func referenceSplit(vs []LabeledValue, numClasses int) (float64, float64, bool) {
+	n := len(vs)
+	if n < 2 {
+		return 0, 0, false
+	}
+	totalCounts := make([]int, numClasses)
+	for _, v := range vs {
+		totalCounts[v.Label]++
+	}
+	baseH := Entropy(totalCounts)
+	leftCounts := make([]int, numClasses)
+	bestGain, bestCut, found := math.Inf(-1), 0.0, false
+	for i := 0; i < n-1; i++ {
+		leftCounts[vs[i].Label]++
+		if vs[i].Value == vs[i+1].Value {
+			continue
+		}
+		rightCounts := make([]int, numClasses)
+		for c := range rightCounts {
+			rightCounts[c] = totalCounts[c] - leftCounts[c]
+		}
+		w := float64(i+1)/float64(n)*Entropy(leftCounts) +
+			float64(n-i-1)/float64(n)*Entropy(rightCounts)
+		if g := baseH - w; g > bestGain {
+			bestGain, bestCut, found = g, (vs[i].Value+vs[i+1].Value)/2, true
+		}
+	}
+	if !found {
+		return 0, 0, false
+	}
+	return bestCut, bestGain, true
+}
+
+func TestQuickSplitterMatchesReference(t *testing.T) {
+	// Columns both inside and beyond the entropy table (maxRows 8 leaves
+	// longer columns to the direct path), over two to five classes.
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		k := 2 + r.Intn(4)
+		n := r.Intn(30)
+		vs := make([]LabeledValue, n)
+		for i := range vs {
+			vs[i] = LabeledValue{Value: float64(r.Intn(12)), Label: r.Intn(k)}
+		}
+		SortLabeledValues(vs)
+		sp := NewSplitter(k, 8)
+		wc, wg, wok := referenceSplit(vs, k)
+		c, g, ok := sp.BestSplit(vs)
+		if ok != wok || math.Float64bits(c) != math.Float64bits(wc) || math.Float64bits(g) != math.Float64bits(wg) {
+			return false
+		}
+		counts := make([]int, k)
+		for _, v := range vs {
+			counts[v.Label]++
+		}
+		return math.Float64bits(sp.Fork().Entropy(counts)) == math.Float64bits(Entropy(counts))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSplitterBestSplitAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	vs := make([]LabeledValue, 200)
+	for i := range vs {
+		vs[i] = LabeledValue{Value: r.NormFloat64(), Label: r.Intn(3)}
+	}
+	SortLabeledValues(vs)
+	sp := NewSplitter(3, len(vs))
+	if allocs := testing.AllocsPerRun(20, func() { sp.BestSplit(vs) }); allocs != 0 {
+		t.Fatalf("BestSplit allocates %.0f times per call, want 0", allocs)
+	}
+}
