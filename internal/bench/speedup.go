@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"repro/internal/engine"
@@ -26,6 +27,10 @@ type SpeedupCurvePoint struct {
 	SeqNodes           int     `json:"seq_nodes"`
 	NodesOverheadRatio float64 `json:"nodes_overhead_ratio"`
 	Groups             int     `json:"groups"`
+	// NProc and GOMAXPROCS record the CPUs the run had: speedups only
+	// compare between archives taken with the same counts.
+	NProc      int `json:"nproc"`
+	GOMAXPROCS int `json:"gomaxprocs"`
 }
 
 // SpeedupCurveConfig tunes the speedup experiment. Zero fields take the
@@ -120,15 +125,17 @@ func SpeedupCurve(ctx context.Context, w io.Writer, cfg SpeedupCurveConfig) ([]S
 				seqNodes = nodes
 			}
 			pt := SpeedupCurvePoint{
-				Dataset: pr.profile.Name,
-				Rows:    pr.dTrain.NumRows(),
-				Items:   pr.dTrain.NumItems(),
-				Workers: workers,
-				Minsup:  cfg.Minsup,
-				K:       cfg.K,
-				NsPerOp: best.Nanoseconds(),
-				Nodes:   nodes,
-				Groups:  groups,
+				Dataset:    pr.profile.Name,
+				Rows:       pr.dTrain.NumRows(),
+				Items:      pr.dTrain.NumItems(),
+				Workers:    workers,
+				Minsup:     cfg.Minsup,
+				K:          cfg.K,
+				NsPerOp:    best.Nanoseconds(),
+				Nodes:      nodes,
+				Groups:     groups,
+				NProc:      runtime.NumCPU(),
+				GOMAXPROCS: runtime.GOMAXPROCS(0),
 			}
 			if base > 0 {
 				pt.Speedup = base.Seconds() / best.Seconds()

@@ -168,6 +168,7 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cls dataset.Label, cfg
 		numPos:    numPos,
 		effMinsup: cfg.Minsup,
 		lists:     make([]*rules.TopKList, numPos),
+		th:        newThresholds(numPos),
 	}
 	for p := 0; p < numPos; p++ {
 		v.lists[p] = rules.NewTopKList(cfg.K)
@@ -188,11 +189,15 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cls dataset.Label, cfg
 	if cfg.Workers > 1 {
 		v.floors = engine.NewFloors(numPos)
 	}
+	var vis engine.Visitor = v
+	if testHookVisitor != nil {
+		vis = testHookVisitor(v)
+	}
 	eng := &engine.Enumerator{
 		NumRows:         d.NumRows(),
 		NumPos:          numPos,
 		ItemRows:        itemRows,
-		Visitor:         v,
+		Visitor:         vis,
 		DisableBackward: !cfg.BackwardPruning,
 		MaxNodes:        cfg.MaxNodes,
 		Workers:         cfg.Workers,
@@ -302,7 +307,15 @@ func remapRows(s *bitset.Set, order []int) *bitset.Set {
 	return out
 }
 
-// topkVisitor implements the Steps 8/9/11/13 logic of Figure 3.
+// testHookVisitor, when non-nil, wraps the visitor MineContext hands
+// to the engine. Tests use it to observe every hook call; it is nil in
+// normal operation.
+var testHookVisitor func(*topkVisitor) engine.Visitor
+
+// topkVisitor implements the Steps 8/9/11/13 logic of Figure 3. Its
+// Step 8 reads the per-row thresholds from th, a flat mirror of the
+// lists kept current at every Consider, rather than asking each list
+// at each node.
 type topkVisitor struct {
 	cfg    Config
 	cls    dataset.Label
@@ -311,16 +324,17 @@ type topkVisitor struct {
 	lists     []*rules.TopKList // per reordered positive row
 	effMinsup int               // dynamically raised when DynamicMinsup
 
-	// floors is the cross-worker threshold board, non-nil only for
-	// parallel runs (Config.Workers > 1); floorConf/floorSup are the
-	// merge side's publication scratch for the speculative floors and
-	// frontConf/frontSup for the tie-prunable frontier channel (see
-	// publishFloors).
-	floors    *engine.Floors
-	floorConf []float64
-	floorSup  []int
-	frontConf []float64
-	frontSup  []int
+	// th holds every list's threshold, refreshed after each Consider
+	// (seed and apply, so also Merge). Step 8, the progress floor, the
+	// minsup raise and the frontier publication read these flat vectors
+	// instead of asking every list at every node. moved records that
+	// some threshold changed since the last publishFloors.
+	th    thresholds
+	moved bool
+
+	// floors is the cross-worker frontier board, non-nil only for
+	// parallel runs (Config.Workers > 1; see publishFloors).
+	floors *engine.Floors
 
 	// provisional single-item seeds: group -> item id, resolved after
 	// mining into their true upper bounds.
@@ -367,7 +381,9 @@ func (v *topkVisitor) seed(itemRows []*bitset.Set, freqItems []int, numPos int) 
 			if p >= numPos {
 				return false
 			}
-			v.lists[p].Consider(g)
+			if v.lists[p].Consider(g) && v.th.set(p, v.lists[p]) {
+				v.moved = true
+			}
 			return true
 		})
 	}
@@ -390,6 +406,8 @@ func (v *topkVisitor) resolveSeeds(itemRows []*bitset.Set, freqItems []int) {
 
 // UpdateThresholds is Step 8: the weakest (conf, sup) threshold across
 // the rows reachable from the current node.
+//
+//vet:allocfree
 func (v *topkVisitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 	v.updateCalls++
 	if v.cfg.DynamicMinsup && v.updateCalls%64 == 0 {
@@ -398,42 +416,21 @@ func (v *topkVisitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 	if !v.cfg.TopKPruning {
 		return engine.Threshold{}
 	}
-	minC := math.Inf(1)
-	minS := math.MaxInt
-	scan := func(rs []int) {
-		for _, p := range rs {
-			c, s := v.lists[p].Threshold()
-			if c < minC || (c == minC && s < minS) {
-				minC, minS = c, s
-			}
-		}
-	}
-	scan(xPos)
-	scan(candPos)
-	if math.IsInf(minC, 1) {
-		minC, minS = 0, 0 // no reachable positive rows: node is sterile anyway
-	}
-	// The static floor clamps the dynamic threshold from below. Sup 0
-	// keeps subtrees tied with the floor alive: any real group has
-	// support >= 1, so qualifies() still admits conf == MinConf.
-	if v.cfg.MinConf > 0 && rules.CompareConf(v.cfg.MinConf, minC) > 0 {
-		minC, minS = v.cfg.MinConf, 0
-	}
-	return engine.Threshold{Conf: minC, Sup: minS}
+	return v.th.step8(xPos, candPos, v.cfg.MinConf)
 }
 
 // ProgressFloor implements engine.FloorReporter: the weakest per-row
 // top-k confidence threshold, i.e. the dynamic minconf floor pruning is
-// currently measured against. Parallel runs read the cross-worker
-// Floors board (mutex-guarded); sequential runs scan the lists on the
-// mining goroutine itself, so neither path races with list updates.
+// currently measured against. Parallel runs read the merge frontier on
+// the Floors board (mutex-guarded); sequential runs scan the threshold
+// vector on the mining goroutine itself, so neither path races with
+// list updates.
 func (v *topkVisitor) ProgressFloor() float64 {
 	if v.floors != nil {
 		return v.floors.MinConf()
 	}
 	minC := math.Inf(1)
-	for _, l := range v.lists {
-		c, _ := l.Threshold()
+	for _, c := range v.th.conf {
 		if c < minC {
 			minC = c
 		}
@@ -448,21 +445,8 @@ func (v *topkVisitor) ProgressFloor() float64 {
 // once every row's k-th group reaches 100% confidence, only groups with
 // support above the smallest k-th support can still qualify anywhere.
 func (v *topkVisitor) maybeRaiseMinsup() {
-	minKthSup := math.MaxInt
-	for _, l := range v.lists {
-		if l.Len() < l.K() {
-			return
-		}
-		c, s := l.Threshold()
-		if c < 1.0 {
-			return
-		}
-		if s < minKthSup {
-			minKthSup = s
-		}
-	}
-	if minKthSup+1 > v.effMinsup {
-		v.effMinsup = minKthSup + 1
+	if m, ok := v.th.raisedMinsup(); ok && m > v.effMinsup {
+		v.effMinsup = m
 	}
 }
 
@@ -532,19 +516,7 @@ func (v *topkVisitor) apply(antecedent func() []int, rows *bitset.Set, conf floa
 	var g *rules.Group // built on first acceptance
 	for _, p := range xPos {
 		l := v.lists[p]
-		if !l.Qualifies(conf, xp) {
-			continue
-		}
-		// Skip if this rule group is already present as a seed (same
-		// support set); resolveSeeds rewrites its antecedent later.
-		dup := false
-		for _, g0 := range l.Groups() {
-			if rules.CompareConf(g0.Confidence, conf) == 0 && g0.Support == xp && g0.Rows != nil && g0.Rows.Equal(rows) {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if !admits(l, conf, xp, rows) {
 			continue
 		}
 		if g == nil {
@@ -559,5 +531,98 @@ func (v *topkVisitor) apply(antecedent func() []int, rows *bitset.Set, conf floa
 			}
 		}
 		l.Consider(g)
+		if v.th.set(p, l) {
+			v.moved = true
+		}
 	}
+}
+
+// admits reports whether list l takes a group (conf, xp) with support
+// set rows: it must qualify, and must not already be present as a seed
+// of the same support set (resolveSeeds rewrites a seed's antecedent
+// later, so the mined copy would be a duplicate).
+func admits(l *rules.TopKList, conf float64, xp int, rows *bitset.Set) bool {
+	if !l.Qualifies(conf, xp) {
+		return false
+	}
+	for _, g0 := range l.Groups() {
+		if rules.CompareConf(g0.Confidence, conf) == 0 && g0.Support == xp && g0.Rows != nil && g0.Rows.Equal(rows) {
+			return false
+		}
+	}
+	return true
+}
+
+// thresholds is a flat table of per-row top-k thresholds over the
+// reordered positive rows: conf[p], sup[p] is what a new group must
+// beat to enter row p's list (0, 0 while the list is not full).
+type thresholds struct {
+	conf []float64
+	sup  []int
+}
+
+func newThresholds(n int) thresholds {
+	return thresholds{conf: make([]float64, n), sup: make([]int, n)}
+}
+
+// set copies l's current threshold into row p and reports whether it
+// changed.
+//
+//vet:allocfree
+func (t thresholds) set(p int, l *rules.TopKList) bool {
+	c, s := l.Threshold()
+	changed := rules.CompareConf(c, t.conf[p]) != 0 || s != t.sup[p]
+	t.conf[p], t.sup[p] = c, s
+	return changed
+}
+
+// step8 is the Step 8 scan: the weakest threshold over the rows
+// reachable from a node (xPos and candPos), clamped from below by the
+// static MinConf floor. Sup 0 in the clamp keeps subtrees tied with the
+// floor alive: any real group has support >= 1, so qualifies() still
+// admits conf == MinConf.
+//
+//vet:allocfree
+func (t thresholds) step8(xPos, candPos []int, minConf float64) engine.Threshold {
+	minC, minS := t.weakest(xPos, math.Inf(1), math.MaxInt)
+	minC, minS = t.weakest(candPos, minC, minS)
+	if math.IsInf(minC, 1) {
+		minC, minS = 0, 0 // no reachable positive rows: node is sterile anyway
+	}
+	if minConf > 0 && rules.CompareConf(minConf, minC) > 0 {
+		minC, minS = minConf, 0
+	}
+	return engine.Threshold{Conf: minC, Sup: minS}
+}
+
+// weakest folds rows rs into the running minimum (minC, minS).
+//
+//vet:allocfree
+func (t thresholds) weakest(rs []int, minC float64, minS int) (float64, int) {
+	for _, p := range rs {
+		if c, s := t.conf[p], t.sup[p]; c < minC || (c == minC && s < minS) {
+			minC, minS = c, s
+		}
+	}
+	return minC, minS
+}
+
+// raisedMinsup is the dynamic support raise of Section 4.1.1: once
+// every row's threshold reaches 100% confidence (a list that is not
+// full has threshold 0), only groups with support above the smallest
+// k-th support can still enter any list. ok is false while the raise
+// does not apply.
+//
+//vet:allocfree
+func (t thresholds) raisedMinsup() (minsup int, ok bool) {
+	minKthSup := math.MaxInt
+	for p, c := range t.conf {
+		if c < 1.0 {
+			return 0, false
+		}
+		if s := t.sup[p]; s < minKthSup {
+			minKthSup = s
+		}
+	}
+	return minKthSup + 1, true
 }

@@ -28,43 +28,43 @@
 //     same way, in the same order.
 //
 // Because the merge runs while mining is in flight, the parent's lists
-// tighten during the run; Merge publishes their thresholds back to the
-// floors board, which is what closes the floor-propagation lag behind
-// the old full-replay barrier.
+// tighten during the run; Merge publishes their thresholds to the
+// floors board as the merge frontier, which is what closes the
+// floor-propagation lag behind the old full-replay barrier.
 package core
 
 import (
-	"math"
-
 	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/rules"
 )
 
 // Fork returns the private visitor for one worker: cloned per-row
-// lists seeded with everything known at dispatch time, the parent's
-// current effective minsup, and a snapshot of the shared threshold
-// board. The fork lives for the whole run and accumulates threshold
-// knowledge across every task its worker executes.
+// lists and threshold vectors seeded with everything known at dispatch
+// time, and the parent's current effective minsup. The fork lives for
+// the whole run and accumulates threshold knowledge across every task
+// its worker executes.
 func (v *topkVisitor) Fork() engine.Visitor {
+	n := len(v.lists)
 	w := &workerVisitor{
 		parent:      v,
 		cfg:         v.cfg,
 		effMinsup:   v.effMinsup,
 		boardMinsup: v.effMinsup,
 		floors:      v.floors,
-		lists:       make([]*rules.TopKList, len(v.lists)),
-		floorConf:   make([]float64, len(v.lists)),
-		floorSup:    make([]int, len(v.lists)),
-		frontConf:   make([]float64, len(v.lists)),
-		frontSup:    make([]int, len(v.lists)),
-		baseConf:    make([]float64, len(v.lists)),
-		baseSup:     make([]int, len(v.lists)),
+		lists:       make([]*rules.TopKList, n),
+		own:         newThresholds(n),
+		front:       newThresholds(n),
+		base:        newThresholds(n),
+		sound:       newThresholds(n),
 		exact:       true,
 	}
 	for p, l := range v.lists {
 		w.lists[p] = l.Clone()
 	}
+	copy(w.own.conf, v.th.conf)
+	copy(w.own.sup, v.th.sup)
+	w.resoundAll()
 	return w
 }
 
@@ -82,41 +82,22 @@ func (v *topkVisitor) Merge(batch any) {
 	v.publishFloors()
 }
 
-// publishFloors pushes the thresholds of the parent's full lists to the
-// cross-worker board. The frontier channel (PublishFrontier) carries
-// the parent's thresholds verbatim: the parent's lists hold the exact
+// publishFloors pushes the parent's thresholds to the cross-worker
+// board as the merge frontier. The parent's lists hold the exact
 // sequential state up to the merge frontier — a position before every
 // in-flight task — so workers may prune threshold TIES against them,
 // exactly as the sequential run prunes ties against its own current
 // lists. Tie-pruning is what keeps parallel node counts close to
-// sequential on tie-dense datasets. The speculative channel (Sync)
-// feeds progress reporting only.
+// sequential on tie-dense datasets. The board also serves the parallel
+// progress floor, so that too is exact sequential-prefix state.
 func (v *topkVisitor) publishFloors() {
 	if v.floors == nil {
 		return
 	}
-	if v.floorConf == nil {
-		v.floorConf = make([]float64, len(v.lists))
-		v.floorSup = make([]int, len(v.lists))
-		v.frontConf = make([]float64, len(v.lists))
-		v.frontSup = make([]int, len(v.lists))
+	if v.moved {
+		v.floors.PublishFrontier(v.th.conf, v.th.sup)
+		v.moved = false
 	}
-	changed := false
-	for p, l := range v.lists {
-		if l.Len() < l.K() {
-			continue
-		}
-		c, s := l.Threshold()
-		v.frontConf[p], v.frontSup[p] = c, s // monotone: thresholds only tighten
-		if cmp := rules.CompareConf(c, v.floorConf[p]); cmp > 0 || (cmp == 0 && s > v.floorSup[p]) {
-			v.floorConf[p], v.floorSup[p] = c, s
-			changed = true
-		}
-	}
-	if changed {
-		v.floors.Sync(v.floorConf, v.floorSup)
-	}
-	v.floors.PublishFrontier(v.frontConf, v.frontSup)
 	// The sequential dynamic-minsup raise (with its +1: strictly better
 	// supports only) is also a frontier fact, so it rides the same board.
 	// The frontier precedes every in-flight task in sequential order, and
@@ -141,19 +122,18 @@ type groupEvent struct {
 	xPos   []int
 }
 
-// syncInterval is how many nodes a worker mines between exchanges with
-// the shared floors board. Small enough that the streaming parent's
+// syncInterval is how many nodes a worker mines between polls of the
+// shared floors board. Small enough that the streaming parent's
 // frontier sharpens in-flight workers within a subtree, large enough
 // that the mutex stays off the hot path.
 const syncInterval = 4
 
 // taskBaseline is the engine.Baseliner payload: the spawning worker's
-// tightest sound per-row thresholds and support cut, captured at the
-// offloaded task's splice position. Everything in it is justified at
-// that position, which sequentially precedes every node of the task.
+// sound per-row thresholds and support cut, captured at the offloaded
+// task's splice position. Everything in it is justified at that
+// position, which sequentially precedes every node of the task.
 type taskBaseline struct {
-	conf   []float64
-	sup    []int
+	th     thresholds
 	minsup int
 }
 
@@ -165,11 +145,12 @@ type workerVisitor struct {
 	cfg    Config
 
 	// lists are clones of the parent's per-row lists, evolved privately
-	// with the events of every subtree this worker mines. While the
-	// worker is exact they are a sequential-prefix state and prune;
-	// afterwards they only feed the progress floors. They are discarded
-	// when the run ends.
+	// with the events of this worker's first task, and own mirrors their
+	// thresholds. While the worker is exact they are a sequential-prefix
+	// state and prune; from Diverge on nothing reads them, so they stop
+	// being maintained. They are discarded when the run ends.
 	lists []*rules.TopKList
+	own   thresholds
 	// effMinsup is the operative support cut: the tightest of the
 	// board's frontier-rooted raise (boardMinsup), the current task's
 	// baseline cut, and — while exact — the worker's own sequential
@@ -181,21 +162,26 @@ type workerVisitor struct {
 	effMinsup   int
 	boardMinsup int
 
-	// floors is the shared board. frontConf/frontSup snapshot its merge
-	// frontier; baseConf/baseSup hold the current task's baseline; both
-	// are sound suppression channels (anchored before this task), and
-	// floorConf/floorSup are publish scratch for the speculative
-	// progress channel. The per-node minimum over the sound channels
-	// rides in the Threshold snapshot UpdateThresholds returns, so
-	// deferred sibling prunes see the thresholds of the node that
-	// deferred them, exactly like the sequential engine.
-	floors    *engine.Floors
-	floorConf []float64
-	floorSup  []int
-	frontConf []float64
-	frontSup  []int
-	baseConf  []float64
-	baseSup   []int
+	// floors is the shared board; front is this worker's copy of its
+	// merge frontier as of board version frontVersion. base holds the
+	// current task's baseline. Both are sound suppression channels
+	// (anchored before this task).
+	floors       *engine.Floors
+	frontVersion uint64
+	front        thresholds
+	base         thresholds
+	// sound is the per-row maximum of front, base and — while exact —
+	// own: the tightest threshold this worker may suppress against.
+	// Each channel is anchored at a sequential position at or before
+	// the current node, so the maximum is never ahead of the sequential
+	// run's own threshold here. It is recomputed only where a channel
+	// changes: a frontier poll that saw a new version, AdoptBaseline,
+	// Diverge, and a local Consider while exact (that row alone). Step 8
+	// reads it, and the minimum it returns rides in the engine's
+	// per-node Threshold snapshot, so deferred sibling prunes see the
+	// thresholds of the node that deferred them, exactly like the
+	// sequential engine.
+	sound thresholds
 
 	// exact is true while everything in this worker's lists precedes
 	// the current node in sequential order — the whole first task, per
@@ -210,6 +196,31 @@ type workerVisitor struct {
 	events      []groupEvent
 }
 
+// resound recomputes row p of the sound vectors from the channels.
+//
+//vet:allocfree
+func (w *workerVisitor) resound(p int) {
+	c, s := w.front.conf[p], w.front.sup[p]
+	if bc, bs := w.base.conf[p], w.base.sup[p]; bc > c || (bc == c && bs > s) {
+		c, s = bc, bs
+	}
+	if w.exact {
+		if lc, ls := w.own.conf[p], w.own.sup[p]; lc > c || (lc == c && ls > s) {
+			c, s = lc, ls
+		}
+	}
+	w.sound.conf[p], w.sound.sup[p] = c, s
+}
+
+// resoundAll recomputes every row of the sound vectors.
+//
+//vet:allocfree
+func (w *workerVisitor) resoundAll() {
+	for p := range w.sound.conf {
+		w.resound(p)
+	}
+}
+
 // Diverge implements engine.Diverger: from the second task on, the
 // worker's lists may contain events from sequentially-later regions,
 // so sequential-exact tie pruning must stop — and since the next task
@@ -219,6 +230,7 @@ type workerVisitor struct {
 func (w *workerVisitor) Diverge() {
 	w.exact = false
 	w.effMinsup = w.boardMinsup
+	w.resoundAll()
 }
 
 // TaskBaseline implements engine.Baseliner: called at offload time on
@@ -230,15 +242,9 @@ func (w *workerVisitor) Diverge() {
 // without it a thief starts every subtree from the merge frontier
 // alone, and on tie-dense trees over-explores by large factors.
 func (w *workerVisitor) TaskBaseline() any {
-	n := len(w.lists)
-	b := &taskBaseline{
-		conf:   make([]float64, n),
-		sup:    make([]int, n),
-		minsup: w.effMinsup,
-	}
-	for p := 0; p < n; p++ {
-		b.conf[p], b.sup[p] = w.soundAt(p)
-	}
+	b := &taskBaseline{th: newThresholds(len(w.sound.conf)), minsup: w.effMinsup}
+	copy(b.th.conf, w.sound.conf)
+	copy(b.th.sup, w.sound.sup)
 	return b
 }
 
@@ -249,18 +255,18 @@ func (w *workerVisitor) TaskBaseline() any {
 // to the board state.
 func (w *workerVisitor) AdoptBaseline(v any) {
 	if b, ok := v.(*taskBaseline); ok {
-		copy(w.baseConf, b.conf)
-		copy(w.baseSup, b.sup)
+		copy(w.base.conf, b.th.conf)
+		copy(w.base.sup, b.th.sup)
 		w.effMinsup = b.minsup
 	} else {
-		for p := range w.baseConf {
-			w.baseConf[p], w.baseSup[p] = 0, 0
-		}
+		clear(w.base.conf)
+		clear(w.base.sup)
 		w.effMinsup = w.boardMinsup
 	}
 	if w.boardMinsup > w.effMinsup {
 		w.effMinsup = w.boardMinsup
 	}
+	w.resoundAll()
 }
 
 // Flush seals the buffered events into a batch for the parent's Merge.
@@ -276,66 +282,39 @@ func (w *workerVisitor) Flush() any {
 	return evs
 }
 
-// syncFloors publishes the thresholds of full local lists to the shared
-// board's progress channel, refreshes the frontier snapshot, and adopts
-// the board's frontier-rooted minsup raise. Only full lists publish: a
-// non-full list's threshold is (0,0) by construction, and a full list's
-// k-th entry is a genuine group of every covered row, so its threshold
-// can only underestimate the row's final one.
-func (w *workerVisitor) syncFloors() {
-	if w.floors == nil {
-		return
+// pollFloors refreshes the frontier copy when the board's version
+// moved, and adopts the board's frontier-rooted minsup raise.
+//
+//vet:allocfree
+func (w *workerVisitor) pollFloors() {
+	version, minsup := w.floors.Frontier(w.frontVersion, w.front.conf, w.front.sup)
+	if version != w.frontVersion {
+		w.frontVersion = version
+		w.resoundAll()
 	}
-	for p, l := range w.lists {
-		if l.Len() < l.K() {
-			continue
-		}
-		c, s := l.Threshold()
-		if cmp := rules.CompareConf(c, w.floorConf[p]); cmp > 0 || (cmp == 0 && s > w.floorSup[p]) {
-			w.floorConf[p], w.floorSup[p] = c, s
-		}
-	}
-	w.floors.Sync(w.floorConf, w.floorSup)
-	w.floors.Frontier(w.frontConf, w.frontSup)
-	if m := w.floors.Minsup(); m > w.boardMinsup {
-		w.boardMinsup = m
+	if minsup > w.boardMinsup {
+		w.boardMinsup = minsup
 	}
 	if w.boardMinsup > w.effMinsup {
 		w.effMinsup = w.boardMinsup
 	}
 }
 
-// soundAt returns the tightest threshold this worker may suppress
-// against on row p: the best of the merge frontier, the task baseline,
-// and — while exact — its own list. Each channel is anchored at a
-// sequential position at or before the current node, so their per-row
-// maximum is never ahead of the sequential run's own threshold here.
-func (w *workerVisitor) soundAt(p int) (float64, int) {
-	c, s := w.frontConf[p], w.frontSup[p]
-	if bc, bs := w.baseConf[p], w.baseSup[p]; bc > c || (bc == c && bs > s) {
-		c, s = bc, bs
-	}
-	if w.exact {
-		if lc, ls := w.lists[p].Threshold(); lc > c || (lc == c && ls > s) {
-			c, s = lc, ls
-		}
-	}
-	return c, s
-}
-
 // UpdateThresholds mirrors the sequential Step 8 scan over the
-// worker's sound per-row thresholds. The returned minimum rides in the
-// engine's per-node snapshot, so sibling prunes deferred past a
-// recursion stay anchored at this node's position — the same snapshot
-// discipline the sequential engine applies, and the reason the
-// soundness argument survives the worker's exact flag flipping between
-// the scan and a deferred prune.
+// worker's sound vectors. The returned minimum rides in the engine's
+// per-node snapshot, so sibling prunes deferred past a recursion stay
+// anchored at this node's position — the same snapshot discipline the
+// sequential engine applies, and the reason the soundness argument
+// survives the worker's exact flag flipping between the scan and a
+// deferred prune.
+//
+//vet:allocfree
 func (w *workerVisitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 	w.updateCalls++
 	// The fork-time snapshot goes stale as the merge frontier advances:
-	// refresh on the first node, then every syncInterval nodes.
+	// poll on the first node, then every syncInterval nodes.
 	if w.updateCalls == 1 || w.updateCalls%syncInterval == 0 {
-		w.syncFloors()
+		w.pollFloors()
 		if w.cfg.DynamicMinsup {
 			w.maybeRaiseMinsup()
 		}
@@ -343,26 +322,9 @@ func (w *workerVisitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 	if !w.cfg.TopKPruning {
 		return engine.Threshold{}
 	}
-	minC := math.Inf(1)
-	minS := math.MaxInt
-	scan := func(rs []int) {
-		for _, p := range rs {
-			if c, s := w.soundAt(p); c < minC || (c == minC && s < minS) {
-				minC, minS = c, s
-			}
-		}
-	}
-	scan(xPos)
-	scan(candPos)
-	if math.IsInf(minC, 1) {
-		minC, minS = 0, 0 // no reachable positive rows: node is sterile anyway
-	}
 	// Same static-floor clamp as the sequential Step 8: the floor holds
 	// at every sequential position, so it is sound in every channel.
-	if w.cfg.MinConf > 0 && rules.CompareConf(w.cfg.MinConf, minC) > 0 {
-		minC, minS = w.cfg.MinConf, 0
-	}
-	return engine.Threshold{Conf: minC, Sup: minS}
+	return w.sound.step8(xPos, candPos, w.cfg.MinConf)
 }
 
 // maybeRaiseMinsup is the worker form of the dynamic support raise. It
@@ -376,22 +338,8 @@ func (w *workerVisitor) maybeRaiseMinsup() {
 	if !w.exact {
 		return
 	}
-	minKthSup := math.MaxInt
-	for _, l := range w.lists {
-		if l.Len() < l.K() {
-			return
-		}
-		c, s := l.Threshold()
-		if c < 1.0 {
-			return
-		}
-		if s < minKthSup {
-			minKthSup = s
-		}
-	}
-	minKthSup++
-	if minKthSup > w.effMinsup {
-		w.effMinsup = minKthSup
+	if m, ok := w.own.raisedMinsup(); ok && m > w.effMinsup {
+		w.effMinsup = m
 	}
 }
 
@@ -445,7 +393,7 @@ func (w *workerVisitor) OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos 
 	// replay time and block a tie while it lasts.
 	keep := false
 	for _, p := range xPos {
-		c, s := w.soundAt(p)
+		c, s := w.sound.conf[p], w.sound.sup[p]
 		if cmp := rules.CompareConf(conf, c); cmp > 0 || (cmp == 0 && xp > s) {
 			keep = true
 			break
@@ -465,26 +413,22 @@ func (w *workerVisitor) OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos 
 		xPos:  append([]int(nil), xPos...),
 	}
 	w.events = append(w.events, ev)
+	if !w.exact {
+		return
+	}
 
 	var g *rules.Group
 	for _, p := range xPos {
 		l := w.lists[p]
-		if !l.Qualifies(conf, xp) {
-			continue
-		}
-		dup := false
-		for _, g0 := range l.Groups() {
-			if rules.CompareConf(g0.Confidence, conf) == 0 && g0.Support == xp && g0.Rows != nil && g0.Rows.Equal(rows) {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if !admits(l, conf, xp, rows) {
 			continue
 		}
 		if g == nil {
 			g = &rules.Group{Antecedent: ev.items, Class: w.parent.cls, Support: xp, Confidence: conf, Rows: ev.rows}
 		}
 		l.Consider(g)
+		if w.own.set(p, l) {
+			w.resound(p)
+		}
 	}
 }

@@ -47,9 +47,9 @@ func (d *Dataset) AppendRows(rows [][]int, labels []Label) (*Dataset, error) {
 	}
 	nd.Rows = append(append(nd.Rows, d.Rows...), rows...)
 	nd.Labels = append(append(nd.Labels, d.Labels...), labels...)
-	if d.itemRows != nil {
+	if prev := d.index.Load(); prev != nil {
 		idx := make([]*bitset.Set, len(d.Items))
-		for i, s := range d.itemRows {
+		for i, s := range *prev {
 			grown := bitset.New(len(nd.Rows))
 			s.ForEach(func(r int) bool {
 				grown.Add(r)
@@ -62,7 +62,7 @@ func (d *Dataset) AppendRows(rows [][]int, labels []Label) (*Dataset, error) {
 				idx[it].Add(old + j)
 			}
 		}
-		nd.itemRows = idx
+		nd.index.Store(&idx)
 	}
 	return nd, nil
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 )
@@ -133,7 +134,11 @@ type Dataset struct {
 	Labels     []Label
 	ClassNames []string
 
-	itemRows []*bitset.Set // lazily built: itemRows[i] = rows containing item i
+	// index is the item→rows inverted index, built on first use:
+	// (*index.Load())[i] = rows containing item i. A snapshot's dataset
+	// is shared by concurrent jobs, so the build is published atomically
+	// (see itemIndex).
+	index atomic.Pointer[[]*bitset.Set]
 }
 
 // NumRows returns the number of rows (samples).
@@ -174,26 +179,32 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// buildIndex populates the item→rows inverted index.
-func (d *Dataset) buildIndex() {
-	d.itemRows = make([]*bitset.Set, len(d.Items))
+// itemIndex returns the item→rows inverted index, building it on first
+// use. Concurrent first callers may each build a copy; the first to
+// publish wins and every caller returns the published one, so all
+// readers share one index and none sees a partly built one.
+func (d *Dataset) itemIndex() []*bitset.Set {
+	if idx := d.index.Load(); idx != nil {
+		return *idx
+	}
+	idx := make([]*bitset.Set, len(d.Items))
 	for i := range d.Items {
-		d.itemRows[i] = bitset.New(len(d.Rows))
+		idx[i] = bitset.New(len(d.Rows))
 	}
 	for r, row := range d.Rows {
 		for _, it := range row {
-			d.itemRows[it].Add(r)
+			idx[it].Add(r)
 		}
 	}
+	d.index.CompareAndSwap(nil, &idx)
+	return *d.index.Load()
 }
 
 // ItemRows returns the set of rows containing item i (the item support
 // set R({i})). The returned set is shared; callers must not mutate it.
+// It is safe for concurrent use.
 func (d *Dataset) ItemRows(i int) *bitset.Set {
-	if d.itemRows == nil {
-		d.buildIndex()
-	}
-	return d.itemRows[i]
+	return d.itemIndex()[i]
 }
 
 // ItemSupport returns |R({i})|.

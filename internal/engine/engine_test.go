@@ -333,29 +333,38 @@ func TestParallelMatchesSequentialCollector(t *testing.T) {
 	}
 }
 
-func TestFloorsSyncMonotoneExchange(t *testing.T) {
+func TestFloorsFrontierVersioned(t *testing.T) {
 	f := NewFloors(3)
-	cA := []float64{0.5, 0.9, 0}
-	sA := []int{2, 3, 0}
-	f.Sync(cA, sA)
-
-	cB := []float64{0.7, 0.9, 0.1}
-	sB := []int{1, 4, 1}
-	f.Sync(cB, sB)
-	// B should have been max-merged with A's published floors.
-	if rules.CompareConf(cB[0], 0.7) != 0 || sB[0] != 1 {
-		t.Fatalf("row 0: got (%v,%d)", cB[0], sB[0])
+	conf := []float64{-1, -1, -1}
+	sup := []int{-1, -1, -1}
+	// Nothing published yet: version 0 matches, nothing is copied.
+	if v, m := f.Frontier(0, conf, sup); v != 0 || m != 0 || conf[0] != -1 || sup[2] != -1 {
+		t.Fatalf("empty board: version %d minsup %d, conf=%v sup=%v", v, m, conf, sup)
 	}
-	if rules.CompareConf(cB[1], 0.9) != 0 || sB[1] != 4 {
-		t.Fatalf("row 1: tie on conf must take larger sup, got (%v,%d)", cB[1], sB[1])
+	f.PublishFrontier([]float64{0.5, 0.9, 0}, []int{2, 3, 0})
+	v1, _ := f.Frontier(0, conf, sup)
+	if v1 == 0 || rules.CompareConf(conf[1], 0.9) != 0 || sup[0] != 2 || sup[2] != 0 {
+		t.Fatalf("after publish: version %d conf=%v sup=%v", v1, conf, sup)
 	}
-
-	// A resyncs and picks up B's improvements.
-	f.Sync(cA, sA)
-	if rules.CompareConf(cA[0], 0.7) != 0 || sA[0] != 1 ||
-		rules.CompareConf(cA[1], 0.9) != 0 || sA[1] != 4 ||
-		rules.CompareConf(cA[2], 0.1) != 0 || sA[2] != 1 {
-		t.Fatalf("resync: got conf=%v sup=%v", cA, sA)
+	// A poll at the current version copies nothing.
+	conf[0], sup[0] = -1, -1
+	if v, _ := f.Frontier(v1, conf, sup); v != v1 || conf[0] != -1 || sup[0] != -1 {
+		t.Fatalf("unchanged version must not copy: version %d conf=%v sup=%v", v, conf, sup)
+	}
+	// The next publication overwrites and bumps the version.
+	f.PublishFrontier([]float64{0.7, 0.9, 0.1}, []int{1, 4, 1})
+	v2, _ := f.Frontier(v1, conf, sup)
+	if v2 == v1 || rules.CompareConf(conf[0], 0.7) != 0 || sup[0] != 1 || sup[1] != 4 {
+		t.Fatalf("republish: version %d -> %d conf=%v sup=%v", v1, v2, conf, sup)
+	}
+	if mc := f.MinConf(); rules.CompareConf(mc, 0.1) != 0 {
+		t.Fatalf("MinConf = %v, want the weakest frontier confidence 0.1", mc)
+	}
+	// The support floor keeps its maximum and rides every poll.
+	f.RaiseMinsup(5)
+	f.RaiseMinsup(3)
+	if v, m := f.Frontier(v2, conf, sup); v != v2 || m != 5 {
+		t.Fatalf("minsup: version %d minsup %d, want %d and 5", v, m, v2)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitset"
-	"repro/internal/rules"
 )
 
 // ParallelVisitor is the contract for the parallel mode: a visitor that
@@ -616,84 +615,76 @@ func (s *scheduler) recordErr(err error) {
 	s.errMu.Unlock()
 }
 
-// Floors is the cross-worker dynamic-threshold board for parallel top-k
-// mining: one (confidence, support) floor per positive row, monotone
-// non-decreasing in the (CompareConf, support) order. Workers carry a
-// private snapshot and call Sync periodically, so top-k pruning
-// tightens across subtree boundaries without a lock on the hot path.
-// Floors only ever carries thresholds that are valid lower bounds for
-// sequential execution (published from full top-k lists), which is why
-// sharing them cannot change the final result set.
+// Floors is the cross-worker board of the streaming merge's frontier
+// for parallel top-k mining: one (confidence, support) threshold per
+// positive row, taken from the parent visitor's lists after the last
+// merged batch, plus the dynamic-minsup raise derived from the same
+// state. The merge replays events in exact sequential order, so both
+// are sequential-prefix facts at a position before every in-flight
+// task: workers may prune threshold ties against them, precisely what
+// the sequential run does against its own lists. Nothing a worker
+// learns on its own reaches the board — state from a sequentially
+// later region must never suppress (DESIGN.md §5b).
+//
+// A version counter, bumped by every PublishFrontier, lets workers
+// poll the board every few nodes and copy the frontier only when it
+// moved.
 type Floors struct {
-	mu   sync.Mutex
-	conf []float64
-	sup  []int
-	// fconf/fsup are the merge frontier's thresholds: unlike the
-	// speculative floors above (worker lists can run ahead of the
-	// sequential order), these are exact sequential-prefix state, so
-	// workers may prune threshold ties against them — precisely what the
-	// sequential run does against its own lists.
-	fconf  []float64
-	fsup   []int
-	minsup int
+	mu      sync.Mutex
+	conf    []float64
+	sup     []int
+	version uint64
+	minsup  int
 }
 
 // NewFloors returns a zeroed board over numPos positive rows.
 func NewFloors(numPos int) *Floors {
-	return &Floors{
-		conf: make([]float64, numPos), sup: make([]int, numPos),
-		fconf: make([]float64, numPos), fsup: make([]int, numPos),
-	}
+	return &Floors{conf: make([]float64, numPos), sup: make([]int, numPos)}
 }
 
-// MinConf returns the weakest confidence floor currently on the board
-// (0 when the board is empty or any row still has no floor). It is the
-// parallel run's observable dynamic-minconf value for progress
-// reporting.
+// MinConf returns the weakest frontier confidence (0 while any row's
+// list is not yet full, or when there are no rows). It is the parallel
+// run's observable dynamic-minconf value for progress reporting: exact
+// sequential-prefix state, so it never runs ahead of the threshold the
+// sequential run would report at the same point.
 func (f *Floors) MinConf() float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return minConfOf(f.conf)
 }
 
-// Sync exchanges thresholds with the board under one lock: each of the
-// caller's per-row floors is max-merged into the board, then the board
-// is copied back into the caller's slices. Both slices must have the
-// board's length.
-func (f *Floors) Sync(conf []float64, sup []int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i := range conf {
-		c := rules.CompareConf(conf[i], f.conf[i])
-		if c > 0 || (c == 0 && sup[i] > f.sup[i]) {
-			f.conf[i], f.sup[i] = conf[i], sup[i]
-		}
-	}
-	copy(conf, f.conf)
-	copy(sup, f.sup)
-}
-
-// PublishFrontier records the merge frontier's per-row thresholds.
-// Only the streaming merge (which replays events in exact sequential
-// order) may call it: the values must be the sequential run's
-// thresholds at a position at or before every in-flight node, and they
-// must be monotone across calls (top-k thresholds only tighten). The
-// board overwrites rather than max-merges — the caller's state is the
-// ground truth.
+// PublishFrontier records the merge frontier's per-row thresholds and
+// bumps the board's version. Only the streaming merge (which replays
+// events in exact sequential order) may call it: the values must be
+// the sequential run's thresholds at a position at or before every
+// in-flight node, and they must be monotone across calls (top-k
+// thresholds only tighten). The board overwrites rather than
+// max-merges — the caller's state is the ground truth. Both slices
+// must have the board's length.
 func (f *Floors) PublishFrontier(conf []float64, sup []int) {
 	f.mu.Lock()
-	copy(f.fconf, conf)
-	copy(f.fsup, sup)
+	copy(f.conf, conf)
+	copy(f.sup, sup)
+	f.version++
 	f.mu.Unlock()
 }
 
-// Frontier copies the current frontier thresholds into the caller's
-// slices (same length as the board).
-func (f *Floors) Frontier(conf []float64, sup []int) {
+// Frontier is a worker's poll of the board, under one lock: when the
+// board's version differs from seen (the version the caller last
+// copied), the frontier thresholds are copied into conf and sup (same
+// length as the board); otherwise nothing is copied. It returns the
+// board's version and its current support floor (see RaiseMinsup).
+//
+//vet:allocfree
+func (f *Floors) Frontier(seen uint64, conf []float64, sup []int) (version uint64, minsup int) {
 	f.mu.Lock()
-	copy(conf, f.fconf)
-	copy(sup, f.fsup)
+	if f.version != seen {
+		copy(conf, f.conf)
+		copy(sup, f.sup)
+	}
+	version, minsup = f.version, f.minsup
 	f.mu.Unlock()
+	return version, minsup
 }
 
 // RaiseMinsup publishes an absolute-support floor: no group with
@@ -709,12 +700,4 @@ func (f *Floors) RaiseMinsup(v int) {
 		f.minsup = v
 	}
 	f.mu.Unlock()
-}
-
-// Minsup returns the board's current absolute-support floor (0 until
-// the first RaiseMinsup).
-func (f *Floors) Minsup() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.minsup
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -14,37 +15,56 @@ import (
 	"repro/internal/rules"
 )
 
-// TestFloorsSyncConcurrentMonotone hammers the board from N goroutines
-// (run it under -race): every worker proposes random floors and checks
-// after each exchange that its view of the board only ever tightened —
-// per row, the (CompareConf, support) order is non-decreasing across
-// its own Sync calls no matter how the exchanges interleave.
-func TestFloorsSyncConcurrentMonotone(t *testing.T) {
+// TestFloorsFrontierConcurrentMonotone hammers the board with one
+// publisher and N pollers (run it under -race): the publisher raises
+// random rows monotonically, as the streaming merge does, and every
+// poller checks that its copy only ever tightened — per row, the
+// (CompareConf, support) order is non-decreasing across its own polls —
+// and that a poll copies only when the version moved.
+func TestFloorsFrontierConcurrentMonotone(t *testing.T) {
 	const (
 		rows    = 16
-		workers = 8
+		pollers = 8
 		iters   = 300
 	)
 	f := NewFloors(rows)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		conf := make([]float64, rows)
+		sup := make([]int, rows)
+		for i := 0; i < iters; i++ {
+			for r := range conf {
+				if rng.Intn(4) == 0 {
+					if rng.Intn(2) == 0 {
+						conf[r] = math.Min(1, conf[r]+float64(1+rng.Intn(5))/100)
+					} else {
+						sup[r]++
+					}
+				}
+			}
+			f.PublishFrontier(conf, sup)
+			f.RaiseMinsup(i / 10)
+		}
+	}()
+	for w := 0; w < pollers; w++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
 			conf := make([]float64, rows)
 			sup := make([]int, rows)
 			prevConf := make([]float64, rows)
 			prevSup := make([]int, rows)
+			var seen uint64
+			prevMinsup := 0
 			for i := 0; i < iters; i++ {
-				// Propose: keep the current view, sometimes raise a row.
-				for r := range conf {
-					if rng.Intn(4) == 0 {
-						conf[r] = float64(rng.Intn(100)) / 100
-						sup[r] = rng.Intn(50)
-					}
+				version, minsup := f.Frontier(seen, conf, sup)
+				if version < seen || minsup < prevMinsup {
+					t.Errorf("board went backwards: version %d -> %d, minsup %d -> %d", seen, version, prevMinsup, minsup)
+					return
 				}
-				f.Sync(conf, sup)
 				for r := range conf {
 					cmp := rules.CompareConf(conf[r], prevConf[r])
 					if cmp < 0 || (cmp == 0 && sup[r] < prevSup[r]) {
@@ -52,15 +72,20 @@ func TestFloorsSyncConcurrentMonotone(t *testing.T) {
 							r, prevConf[r], prevSup[r], conf[r], sup[r])
 						return
 					}
+					if version == seen && (cmp != 0 || sup[r] != prevSup[r]) {
+						t.Errorf("row %d copied at unchanged version %d", r, version)
+						return
+					}
 				}
 				copy(prevConf, conf)
 				copy(prevSup, sup)
+				seen, prevMinsup = version, minsup
 				if mc := f.MinConf(); mc < 0 || mc > 1 {
 					t.Errorf("MinConf out of range: %v", mc)
 					return
 				}
 			}
-		}(int64(w) + 1)
+		}()
 	}
 	wg.Wait()
 }
