@@ -92,14 +92,15 @@ experiments:
 serve:
 	$(GO) run ./cmd/rcbtserved -model fixture=internal/serve/testdata/model.json -addr :8344
 
-# Short fuzzing sessions over the dataset parsers, the bit-set algebra
-# and the discretizer.
+# Short fuzzing sessions over the dataset parsers, the bit-set algebra,
+# the discretizer and the dataset snapshot decoders.
 fuzz:
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzReadDataset -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzSetOps -fuzztime 30s ./internal/bitset/
 	$(GO) test -fuzz FuzzFusedOps -fuzztime 30s ./internal/bitset/
 	$(GO) test -fuzz FuzzDiscretize -fuzztime 30s ./internal/discretize/
+	$(GO) test -fuzz FuzzLoadSnapshot -fuzztime 30s ./internal/datastore/
 
 clean:
 	rm -f test_output.txt bench_output.txt

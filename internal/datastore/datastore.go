@@ -1,11 +1,14 @@
 // Package datastore is the versioned dataset subsystem behind the
 // streaming ingestion API: named gene-expression datasets whose every
 // mutation (create, append rows) produces a new immutable snapshot,
-// persisted as one self-contained JSON file per version with the same
-// unique-staging atomic-rename discipline as the job journal. A
-// restarted store recovers each dataset at its latest complete
-// version; a torn write from a crash mid-append is at worst a stray
-// .tmp file that recovery deletes.
+// persisted as one self-contained binary file per version (v%06d.snap:
+// a JSON header, the matrix as raw little-endian float64 bits, and a
+// CRC-32C trailer) with the same unique-staging atomic-rename
+// discipline as the job journal. A restarted store recovers each
+// dataset at its latest complete version, skipping any file that fails
+// its checksum, and still reads the JSON v%06d.json snapshots of
+// earlier releases; a torn write from a crash mid-append is at worst a
+// stray .tmp file that recovery deletes.
 //
 // Appends run the incremental refresh pipeline (refresh.go): cut
 // points are refit on the grown matrix, but only genes whose
@@ -61,7 +64,8 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
 // Config configures a Store.
 type Config struct {
 	// Dir is the root directory; dataset name n's snapshots live at
-	// Dir/n/v%06d.json. Required.
+	// Dir/n/v%06d.snap (versions written by earlier releases may be
+	// Dir/n/v%06d.json, which recovery still reads). Required.
 	Dir string
 	// KeepVersions bounds retained versions per dataset; older
 	// snapshots are pruned from memory and disk after each append.
@@ -123,8 +127,8 @@ type Snapshot struct {
 
 // Open creates dir if needed and recovers every dataset found under it
 // at its latest complete version (plus up to KeepVersions-1 older
-// complete versions). Stray .tmp staging files from crashed appends
-// are deleted.
+// complete versions). Stray .tmp staging files from crashed appends,
+// and the files of versions older than the retained ones, are deleted.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("datastore: Config.Dir is required")

@@ -337,13 +337,13 @@ func TestCrashMidAppendRecovery(t *testing.T) {
 	}
 
 	setDir := filepath.Join(dir, "d")
-	stray := filepath.Join(setDir, "v000003.json.123.tmp")
+	stray := filepath.Join(setDir, "v000003.snap.123.tmp")
 	if err := os.WriteFile(stray, []byte("{\"half\":"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A corrupt "newest" file (disk mishap, not a torn rename) must be
 	// skipped in favor of the next older complete version.
-	if err := os.WriteFile(filepath.Join(setDir, "v000003.json"), []byte("not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(setDir, "v000003.snap"), []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -395,7 +395,7 @@ func TestPruneAndVersionGone(t *testing.T) {
 	if _, err := s.Resolve("d@2"); !errors.Is(err, ErrVersionGone) {
 		t.Fatalf("pruned ref: %v, want ErrVersionGone", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "d", "v000001.json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "d", "v000001.snap")); !os.IsNotExist(err) {
 		t.Fatal("pruned snapshot file still on disk")
 	}
 	// Recovery respects the retention cap too.

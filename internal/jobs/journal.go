@@ -3,10 +3,12 @@ package jobs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/rcbt"
 )
 
@@ -18,63 +20,40 @@ func (m *Manager) persist(rec *Record) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(m.jobsDir, rec.ID+".json"), data)
+	return atomicfile.Write(filepath.Join(m.jobsDir, rec.ID+".json"), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
-// saveModel writes a model envelope with the same atomicity guarantee;
-// a crashed train job never leaves a half-written model a restarted
-// server would try to load.
+// saveModel streams a model envelope into a staging file unique to the
+// call and renames it into place: a crashed train job never leaves a
+// half-written model a restarted server would try to load, and two
+// concurrent trains of one model name (an auto-refresh beside a manual
+// train) cannot truncate each other's staging file — the last rename
+// wins with a complete envelope.
 func (m *Manager) saveModel(path string, model *rcbt.Model) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := model.Save(f); err != nil {
-		f.Close()      // vetsuite:allow uncheckederr -- error path, Save failure already reported
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicfile.Write(path, model.Save)
 }
 
-func atomicWrite(path string, data []byte) error {
-	// The temp name is unique per call (not "<path>.tmp") so two
-	// concurrent writers of the same record cannot steal each other's
-	// staging file; the loser's rename just lands second.
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()      // vetsuite:allow uncheckederr -- error path, Write failure already reported
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	return nil
-}
-
-// recoverJournal creates the data directories and loads every journaled
-// record. Jobs that were queued or running when their process died are
-// rewritten as failed with an interrupted cause — a restarted manager
-// never reports a job it is not actually running.
+// recoverJournal creates the data directories, deletes stray staging
+// files, and loads every journaled record. Jobs that were queued or
+// running when their process died are rewritten as failed with an
+// interrupted cause — a restarted manager never reports a job it is
+// not actually running.
 func (m *Manager) recoverJournal() error {
 	for _, dir := range []string{m.jobsDir, m.modelsDir} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("jobs: %w", err)
+		}
+		// Staging files of writes a crash interrupted; their
+		// destinations still hold the previous complete file.
+		stray, err := filepath.Glob(filepath.Join(dir, "*"+atomicfile.TempSuffix))
+		if err != nil {
+			return fmt.Errorf("jobs: %w", err)
+		}
+		for _, p := range stray {
+			os.Remove(p) // vetsuite:allow uncheckederr -- best-effort; the next recovery retries
 		}
 	}
 	paths, err := filepath.Glob(filepath.Join(m.jobsDir, "*.json"))

@@ -216,6 +216,15 @@ func (s *Splitter) BestSplit(vs []LabeledValue) (cut float64, gain float64, ok b
 		if g > bestGain {
 			bestGain = g
 			bestCut = (vs[i].Value + vs[i+1].Value) / 2
+			if math.IsInf(bestCut, 0) {
+				// The sum of two values beyond MaxFloat64/2 overflowed.
+				// An infinite cut leaves one side of the split empty,
+				// and the MDL recursion would repeat the same split
+				// until the stack overflows; halving first keeps the
+				// midpoint finite. Every cut that did not overflow
+				// keeps its bits.
+				bestCut = vs[i].Value/2 + vs[i+1].Value/2
+			}
 			found = true
 		}
 	}

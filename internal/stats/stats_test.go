@@ -90,6 +90,22 @@ func TestBestBinarySplitNoCut(t *testing.T) {
 	}
 }
 
+// TestBestBinarySplitHugeValues splits between values whose sum
+// overflows float64: the midpoint must stay finite and between them.
+func TestBestBinarySplitHugeValues(t *testing.T) {
+	for _, sign := range []float64{1, -1} {
+		lo, hi := sign*math.MaxFloat64/1.5, sign*math.MaxFloat64
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		vs := []LabeledValue{{lo, 0}, {lo, 0}, {hi, 1}, {hi, 1}}
+		cut, _, ok := BestBinarySplit(vs, 2)
+		if !ok || math.IsInf(cut, 0) || !(lo < cut && cut < hi) {
+			t.Fatalf("split of %v|%v: cut %v ok %v, want a finite cut between them", lo, hi, cut, ok)
+		}
+	}
+}
+
 func TestBestBinarySplitCutBetweenValues(t *testing.T) {
 	// Property: the returned cut must lie strictly between two observed
 	// distinct values, and gain must be within [0, H(labels)].
